@@ -39,8 +39,8 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_batching.py benchmarks/bench_serving.py benchmarks/bench_parallel_speedup.py benchmarks/bench_store_streaming.py benchmarks/bench_topk_recall.py benchmarks/bench_early_exit.py benchmarks/bench_cluster.py benchmarks/bench_docqa.py -q
 	$(PYTHON) benchmarks/validate_artifacts.py
 
-# Full-scale core-engine trajectory (serial vs thread/process/fused
-# backends) + artifact validation.  On a >= 4-CPU host this enforces
+# Full-scale core-engine trajectory (serial vs process backend, float64
+# vs float32) + artifact validation.  On a >= 4-CPU host this enforces
 # the multicore acceptance gates; below that BENCH_core.json records
 # an explicit parallel_gate.skipped_reason.
 bench-core:

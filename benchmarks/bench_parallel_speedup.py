@@ -10,19 +10,14 @@ ed=48, nq=16 workload of ``bench_algorithms.py`` through:
   kernel-optimized series is measured against;
 * ``column_serial`` — today's allocation-free float64 kernel;
 * ``column_f32`` — the float32 compute path (half the streamed bytes);
-* ``sharded_serial`` / ``sharded_thread_K`` — the K=4 sharded engine,
-  serial vs the thread backend at 1/2/4 workers.  The thread series is
-  the *measured counterexample* (0.79-0.99x vs serial — the GIL-bound
-  chunk bookkeeping serializes the pool); it carries no speedup gate;
+* ``sharded_serial`` — the K=4 sharded engine's per-shard loop;
 * ``sharded_process_K`` — the process backend at 1/2/4 workers: worker
   processes mmap the spilled store and compute zero-copy shard
   partials, bit-identical to serial;
-* ``fused_serial`` — the batchxshard tile kernel (one score GEMM per
-  tile across all shards);
-* ``fused_f32`` — the tile kernel on the float32 compute path (the
-  fused x dtype composition);
 * ``multicore_f32_process_4`` — the composed headline: float32 compute
-  plus the 4-worker process backend (the README quickstart config).
+  plus the 4-worker process backend, built from
+  ``EngineConfig.parallel(4, dtype="float32")`` (the README quickstart
+  config).
 
 Genuine multicore speedup requires physical cores, so the parallel
 acceptance gates activate only when ``os.cpu_count() >= GATE_CPUS``;
@@ -48,6 +43,7 @@ from emit import emit, smoke_mode
 from repro.core import (
     ChunkConfig,
     ColumnMemNN,
+    EngineConfig,
     ExecutionConfig,
     PartialOutput,
     ShardedMemNN,
@@ -126,30 +122,8 @@ def _run_series(m_in, m_out, u):
         "sharded_serial": ShardedMemNN(
             m_in, m_out, num_shards=NUM_SHARDS, chunk=chunk
         ),
-        "fused_serial": ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=NUM_SHARDS,
-            chunk=chunk,
-            execution=ExecutionConfig(fused=True),
-        ),
-        "fused_f32": ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=NUM_SHARDS,
-            chunk=chunk,
-            dtype=np.float32,
-            execution=ExecutionConfig(fused=True, dtype="float32"),
-        ),
     }
     for workers in WORKER_SWEEP:
-        solvers[f"sharded_thread_{workers}"] = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=NUM_SHARDS,
-            chunk=chunk,
-            execution=ExecutionConfig(backend="thread", num_workers=workers),
-        )
         solvers[f"sharded_process_{workers}"] = ShardedMemNN(
             m_in,
             m_out,
@@ -157,15 +131,14 @@ def _run_series(m_in, m_out, u):
             chunk=chunk,
             execution=ExecutionConfig(backend="process", num_workers=workers),
         )
+    multicore = EngineConfig.parallel(4, chunk_size=CHUNK, dtype="float32")
     solvers["multicore_f32_process_4"] = ShardedMemNN(
         m_in,
         m_out,
-        num_shards=NUM_SHARDS,
-        chunk=chunk,
-        dtype=np.float32,
-        execution=ExecutionConfig(
-            backend="process", num_workers=4, dtype="float32"
-        ),
+        num_shards=multicore.num_shards,
+        chunk=multicore.chunk,
+        dtype=np.dtype(multicore.execution.dtype),
+        execution=multicore.execution,
     )
     for name, solver in solvers.items():
         seconds, result = _best_of(lambda s=solver: s.output(u))
@@ -225,15 +198,10 @@ def test_parallel_execution_trajectory(benchmark, report):
     blas = blas_thread_info()
     seed = series["seed_column"]
     speedups = {name: seed / seconds for name, seconds in series.items()}
-    threaded_vs_serial = {
-        workers: series["sharded_serial"] / series[f"sharded_thread_{workers}"]
-        for workers in WORKER_SWEEP
-    }
     process_vs_serial = {
         workers: series["sharded_serial"] / series[f"sharded_process_{workers}"]
         for workers in WORKER_SWEEP
     }
-    fused_vs_serial = series["sharded_serial"] / series["fused_serial"]
 
     report(format_table(
         ["series", "wall-clock", "speedup vs seed"],
@@ -251,7 +219,6 @@ def test_parallel_execution_trajectory(benchmark, report):
         parallel_gate["process_vs_serial"] = {
             str(k): round(v, 3) for k, v in process_vs_serial.items()
         }
-        parallel_gate["fused_vs_serial"] = round(fused_vs_serial, 3)
         parallel_gate["baseline_headline"] = BASELINE_HEADLINE
         parallel_gate["headline_speedup"] = round(max(speedups.values()), 3)
     else:
@@ -270,13 +237,9 @@ def test_parallel_execution_trajectory(benchmark, report):
         ).worker_blas_threads(),
         "series_seconds": {k: round(v, 6) for k, v in series.items()},
         "speedup_vs_seed": {k: round(v, 3) for k, v in speedups.items()},
-        "threaded_vs_serial": {
-            str(k): round(v, 3) for k, v in threaded_vs_serial.items()
-        },
         "process_vs_serial": {
             str(k): round(v, 3) for k, v in process_vs_serial.items()
         },
-        "fused_vs_serial": round(fused_vs_serial, 3),
         "parallel_gate": parallel_gate,
         "headline_speedup": round(max(speedups.values()), 3),
     })
@@ -296,12 +259,8 @@ def test_parallel_execution_trajectory(benchmark, report):
         f"{series['column_f32'] * 1e3:.1f} ms vs "
         f"{series['column_serial'] * 1e3:.1f} ms"
     )
-    # The thread backend carries no speedup gate (measured 0.79-0.99x
-    # vs serial); only a sanity floor that one worker is pool-overhead
-    # -free-ish.
-    assert threaded_vs_serial[1] >= 0.5
     if gated:
-        # The real multicore gates: process and fused never lose to
+        # The multicore gates: the process backend never loses to
         # serial, and the composed multicore headline beats the best
         # pre-process-backend number.
         for workers, ratio in process_vs_serial.items():
@@ -309,10 +268,6 @@ def test_parallel_execution_trajectory(benchmark, report):
                 f"process backend at {workers} workers regressed vs "
                 f"serial: {ratio:.2f}x on {cpu_count} CPUs"
             )
-        assert fused_vs_serial >= 1.0 - NOISE, (
-            f"fused tile kernel slower than per-shard loop: "
-            f"{fused_vs_serial:.2f}x"
-        )
         assert max(speedups.values()) > BASELINE_HEADLINE, (
             f"multicore headline {max(speedups.values()):.2f}x does not "
             f"beat the single-core baseline {BASELINE_HEADLINE}x"

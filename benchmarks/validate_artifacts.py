@@ -228,8 +228,7 @@ def _validate_cluster(payload: dict) -> list[str]:
 
 #: Series the core-engine trajectory must have timed to be diffable.
 _CORE_REQUIRED_SERIES = {
-    "seed_column", "column_serial", "sharded_serial", "fused_serial",
-    "fused_f32",
+    "seed_column", "column_serial", "sharded_serial",
     "sharded_process_1", "sharded_process_2", "sharded_process_4",
 }
 
@@ -244,10 +243,10 @@ _CORE_NOISE = 0.10
 
 def _validate_core(payload: dict) -> list[str]:
     """Schema of ``BENCH_core.json`` (the ISSUE 9 acceptance artifact):
-    the serial/thread/process/fused wall-clock series plus the machine
+    the serial/process wall-clock series plus the machine
     description (CPU count, BLAS implementation, effective worker
     thread limit), and a ``parallel_gate`` that is *either* enforced —
-    process and fused never lose to serial, the multicore headline
+    the process backend never loses to serial, the multicore headline
     beats the recorded single-core baseline — or explicitly skipped
     with a ``skipped_reason`` naming the too-small CPU count.  A
     sub-``required_cpus`` runner must not pass the gate vacuously."""
@@ -299,9 +298,6 @@ def _validate_core(payload: dict) -> list[str]:
                     f"process backend at {workers} workers lost to serial: "
                     f"{ratio}"
                 )
-    fused = gate.get("fused_vs_serial")
-    if not isinstance(fused, (int, float)) or fused < 1.0 - _CORE_NOISE:
-        problems.append(f"fused tile kernel lost to the per-shard loop: {fused}")
     headline = gate.get("headline_speedup")
     baseline = gate.get("baseline_headline")
     if not (

@@ -60,81 +60,11 @@ from .zero_skip import exp_mode_mask, running_probability_mode_mask
 __all__ = [
     "ColumnMemNN",
     "PartialOutput",
-    "column_op_stats",
-    "exp_floor",
-    "keep_mask",
+    "merge_partials",
     "partition_memory",
     "SUPPORTED_DTYPES",
     "check_dtype",
 ]
-
-
-def keep_mask(
-    scores: np.ndarray,
-    denom: np.ndarray,
-    log_max: np.ndarray,
-    stable: bool,
-    zero_skip: ZeroSkipConfig | None,
-) -> np.ndarray | None:
-    """Zero-skip keep-mask for one score block, or ``None`` for
-    keep-all.
-
-    ``None`` (zero-skipping disabled) lets the caller skip the mask
-    multiply entirely instead of paying a full ``(nq, c)`` elementwise
-    product against an all-ones mask.  Shared by the per-shard chunk
-    loop and the fused tile kernel: the mask semantics depend only on
-    the block's raw scores and the caller's running ``(denom,
-    log_max)`` state, not on how the block was produced.
-    """
-    if zero_skip is None or not zero_skip.enabled:
-        return None
-    if zero_skip.mode == "exp":
-        # Raw-score comparison: exact regardless of stabilization.
-        return exp_mode_mask(scores, zero_skip.threshold)
-    # Running-probability mode: denominator known so far.
-    with np.errstate(divide="ignore"):
-        log_running = log_max + np.log(denom) if stable else np.log(denom)
-    return running_probability_mode_mask(
-        scores, log_running, zero_skip.threshold
-    )
-
-
-def exp_floor(dtype: np.dtype):
-    """Floor for shifted scores before ``exp``, a few ulps above
-    ``log(smallest normal)`` so ``exp(floor)`` is safely *normal*: exp
-    at the exact boundary rounds into subnormal range, and subnormal
-    operands stall x86 pipelines ~100x per element (on float32 this
-    single effect dominated the whole pass).  Shared by the per-shard
-    chunk loop and the fused tile kernel so both clamp identically."""
-    return dtype.type(np.log(np.finfo(dtype).tiny) + 2.0)
-
-
-def column_op_stats(
-    nq: int, ns: int, ed: int, rows_kept: int, chunk_size: int, dtype: np.dtype
-) -> OpStats:
-    """The column dataflow's operation ledger for one memory scan —
-    the single accounting formula every kernel arrangement (per-shard
-    chunk loop, fused tile kernel, worker-process shard) reports
-    through, so stats are comparable across execution backends."""
-    item = FLOAT_BYTES
-    skipped_rows = nq * ns - rows_kept
-    # Skipped rows leave their M_OUT rows unread (at chunk granularity
-    # the hardware still streams them; this counts the algorithmic
-    # bound the FPGA's per-row skip achieves).
-    kept_fraction = rows_kept / (nq * ns) if nq * ns else 0.0
-    # Matrix size from store metadata, not .nbytes — a row-subset
-    # view would have to gather every row just to be measured.
-    matrix_bytes = ns * ed * dtype.itemsize
-    return OpStats(
-        flops=int(2 * nq * ns * ed + 2 * nq * ns + 2 * rows_kept * ed + nq * ed),
-        divisions=nq * ed,
-        exp_calls=nq * ns,
-        bytes_read=matrix_bytes + int(matrix_bytes * kept_fraction),
-        bytes_written=nq * ed * item,
-        intermediate_bytes=2 * nq * min(chunk_size, ns) * item,
-        rows_computed=rows_kept,
-        rows_skipped=skipped_rows,
-    )
 
 
 @dataclass
@@ -270,7 +200,12 @@ class ColumnMemNN:
                 resident_bytes=resident_bytes,
                 prefetch_depth=prefetch_depth,
             )
-        self._exp_floor = exp_floor(dtype)
+        # Floor for shifted scores before ``exp``, a few ulps above
+        # ``log(smallest normal)`` so ``exp(floor)`` is safely *normal*:
+        # exp at the exact boundary rounds into subnormal range, and
+        # subnormal operands stall x86 pipelines ~100x per element (on
+        # float32 this single effect dominated the whole pass).
+        self._exp_floor = dtype.type(np.log(np.finfo(dtype).tiny) + 2.0)
 
     @property
     def store(self) -> MemoryStore:
@@ -425,15 +360,50 @@ class ColumnMemNN:
         stable: bool,
         zero_skip: ZeroSkipConfig | None,
     ) -> np.ndarray | None:
-        """Keep-mask for the current chunk (see :func:`keep_mask`)."""
-        return keep_mask(scores, denom, log_max, stable, zero_skip)
+        """Zero-skip keep-mask for the current chunk, or ``None`` for
+        keep-all.
+
+        ``None`` (zero-skipping disabled) lets the caller skip the mask
+        multiply entirely instead of paying a full ``(nq, c)``
+        elementwise product against an all-ones mask.
+        """
+        if zero_skip is None or not zero_skip.enabled:
+            return None
+        if zero_skip.mode == "exp":
+            # Raw-score comparison: exact regardless of stabilization.
+            return exp_mode_mask(scores, zero_skip.threshold)
+        # Running-probability mode: denominator known so far.
+        with np.errstate(divide="ignore"):
+            log_running = log_max + np.log(denom) if stable else np.log(denom)
+        return running_probability_mode_mask(
+            scores, log_running, zero_skip.threshold
+        )
 
     def _stats(self, nq: int, ns: int, ed: int, rows_kept: int) -> OpStats:
-        # bytes_read reflects the actual compute dtype (float32 halves
-        # the streamed traffic); the modeled write/intermediate terms
-        # keep the paper's 4-byte-float convention (FLOAT_BYTES).
-        return column_op_stats(
-            nq, ns, ed, rows_kept, self.chunk.chunk_size, self.dtype
+        """The column dataflow's operation ledger for one memory scan.
+
+        bytes_read reflects the actual compute dtype (float32 halves
+        the streamed traffic); the modeled write/intermediate terms
+        keep the paper's 4-byte-float convention (FLOAT_BYTES).
+        """
+        item = FLOAT_BYTES
+        skipped_rows = nq * ns - rows_kept
+        # Skipped rows leave their M_OUT rows unread (at chunk granularity
+        # the hardware still streams them; this counts the algorithmic
+        # bound the FPGA's per-row skip achieves).
+        kept_fraction = rows_kept / (nq * ns) if nq * ns else 0.0
+        # Matrix size from store metadata, not .nbytes — a row-subset
+        # view would have to gather every row just to be measured.
+        matrix_bytes = ns * ed * self.dtype.itemsize
+        return OpStats(
+            flops=int(2 * nq * ns * ed + 2 * nq * ns + 2 * rows_kept * ed + nq * ed),
+            divisions=nq * ed,
+            exp_calls=nq * ns,
+            bytes_read=matrix_bytes + int(matrix_bytes * kept_fraction),
+            bytes_written=nq * ed * item,
+            intermediate_bytes=2 * nq * min(self.chunk.chunk_size, ns) * item,
+            rows_computed=rows_kept,
+            rows_skipped=skipped_rows,
         )
 
     def _check_questions(self, u: np.ndarray) -> np.ndarray:
@@ -478,6 +448,3 @@ def merge_partials(partials: Sequence[PartialOutput]) -> PartialOutput:
     for partial in partials[1:]:
         merged = merged.merge(partial)
     return merged
-
-
-__all__.append("merge_partials")

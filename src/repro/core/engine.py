@@ -17,7 +17,7 @@ import tempfile
 import time
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
@@ -551,7 +551,6 @@ class MnnFastEngine:
         self,
         questions: np.ndarray,
         cache: VectorCache | None = None,
-        hop_hook: Callable[[int, OpStats], None] | None = None,
     ) -> AnswerResult:
         """Answer a batch of raw (word-ID) questions end-to-end.
 
@@ -570,9 +569,6 @@ class MnnFastEngine:
         Args:
             questions: ``(nq, nw)`` raw word IDs.
             cache: optional embedding cache on the question path (§3.3).
-            hop_hook: called as ``hop_hook(hop, stats)`` after each hop
-                with that hop's operation counters — the per-hop
-                observability hook the serving trace builds on.
         """
         start_time = time.perf_counter()
         if self.num_stored_sentences == 0:
@@ -606,8 +602,6 @@ class MnnFastEngine:
             hop_shard_stats.append(list(tiers["shards"] or []))
             hop_store_stats.append(tiers["store"])
             hop_index_stats.append(tiers["index"])
-            if hop_hook is not None:
-                hop_hook(hop, result.stats)
             u = u + result.output  # u_{k+1} = u_k + o_k
             if not gated:
                 continue
@@ -722,7 +716,6 @@ class MnnFastEngine:
         self,
         questions: np.ndarray,
         cache: VectorCache | None = None,
-        hop_hook: Callable[[int, OpStats], None] | None = None,
     ) -> BatchAnswer:
         """Answer a question batch in one vectorized pass.
 
@@ -749,14 +742,13 @@ class MnnFastEngine:
             questions: ``(nq, nw)`` raw word IDs (``nq >= 1``; a 1-D
                 vector is treated as a single question).
             cache: optional embedding cache on the question path.
-            hop_hook: per-hop observability hook, as in :meth:`answer`.
 
         Returns:
             A :class:`BatchAnswer`: the whole-batch result (amortized
             batch-level :class:`~repro.core.stats.OpStats`) plus one
             per-question :class:`AnswerResult` view per question.
         """
-        batch = self.answer(questions, cache=cache, hop_hook=hop_hook)
+        batch = self.answer(questions, cache=cache)
         nq = len(batch.answer_ids)
         batch_tiers = batch.tier_stats()
         share = batch.stats.amortized(nq)

@@ -43,18 +43,9 @@ import numpy as np
 
 from ..store.base import MemoryStore, StoreStats
 from ..store.mmap_store import MmapStore
-from ..store.prefetch import ChunkPrefetcher
-from ..store.resident import ResidentStore
-from .column import (
-    ColumnMemNN,
-    PartialOutput,
-    check_dtype,
-    column_op_stats,
-    exp_floor,
-    keep_mask,
-)
+from .column import ColumnMemNN, PartialOutput, check_dtype, merge_partials
 from .config import ChunkConfig, ExecutionConfig, ZeroSkipConfig
-from .execution import ProcessShardRunner, run_shard_partials
+from .execution import ProcessShardRunner
 from .results import InferenceResult
 from .stats import OpStats
 
@@ -127,219 +118,6 @@ class ShardPlan:
             yield self.indices(shard)
 
 
-class _FusedShardKernel:
-    """The fused batchxshard tile kernel (DESIGN.md §15).
-
-    The per-shard chunk loop issues one ``(nq x c)`` score GEMM per
-    shard per chunk — ``K`` small BLAS calls per sweep step, with
-    GIL-bound Python bookkeeping between them.  This kernel
-    restructures the sweep: memory rows stream in *global tiles* of
-    ``chunk_size x K`` rows, each tile's scores against **all** shards
-    are one ``np.matmul`` (the nqxchunk matmul of ``answer_batch``,
-    extended to fold shards), and only the cheap ``O(nq)``-state
-    updates (running max, rescale, exp, per-shard second GEMM) happen
-    per shard segment.  Parallelism belongs to BLAS's own threads
-    inside that one big call — no Python fan-out, no GIL contention.
-
-    Per-shard partial semantics are preserved exactly: every shard
-    keeps its own ``(weighted, denom, log_max)`` accumulator and
-    row-kept counter, updated from its segment of each tile, so the
-    output is a list of per-shard ``(PartialOutput, OpStats)`` pairs
-    that merge in shard order like any other backend's.  The rescale
-    cadence differs from the per-shard loop (segments are tile∩shard,
-    not shard-local chunks), so agreement with the per-shard path is
-    the documented 1e-10 of any chunk-geometry change, not bitwise;
-    the kernel itself is deterministic.  One semantic caveat:
-    ``"probability"``-mode zero-skip decides against the running
-    denominator *at decision time*, which any chunk-geometry change
-    shifts (sharding itself already does, vs. unsharded column mode) —
-    those masks agree to the skip approximation's threshold scale, not
-    1e-10.  ``"exp"``-mode masks compare raw scores only and match the
-    per-shard path exactly.
-
-    Works over resident arrays (zero-copy tile views) or a memory
-    store (tiles stream through a :class:`ChunkPrefetcher` sized to
-    the tile, keeping the LRU/prefetch ledger).
-    """
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        chunk: ChunkConfig,
-        dtype,
-        m_in: np.ndarray | None = None,
-        m_out: np.ndarray | None = None,
-        store: MemoryStore | None = None,
-        resident_bytes: int | None = None,
-        prefetch_depth: int = 0,
-        tile_rows: int | None = None,
-    ) -> None:
-        self.plan = plan
-        self.chunk_size = chunk.chunk_size
-        #: Global rows per tile.  Default geometry: one shard-chunk's
-        #: worth from every shard, so a full sweep runs the same number
-        #: of tile steps as the per-shard loop runs chunk steps.  An
-        #: explicit ``tile_rows`` (ExecutionConfig.fused_tile_rows)
-        #: decouples the tile from the chunk geometry — tile size only
-        #: moves the running-max rescale boundaries (~1e-10 agreement).
-        self.tile_rows = (
-            tile_rows
-            if tile_rows is not None
-            else max(1, self.chunk_size * plan.num_shards)
-        )
-        if self.tile_rows < 1:
-            raise ValueError(f"tile_rows must be >= 1, got {self.tile_rows}")
-        self.dtype = dtype
-        if store is not None:
-            self._store: MemoryStore = store
-        else:
-            self._store = ResidentStore(m_in, m_out, dtype=dtype)
-        self._pipeline: ChunkPrefetcher | None = None
-        if store is not None or resident_bytes is not None or prefetch_depth > 0:
-            self._pipeline = ChunkPrefetcher(
-                self._store,
-                chunk_size=self.tile_rows,
-                resident_bytes=resident_bytes,
-                prefetch_depth=prefetch_depth,
-            )
-        self._exp_floor = exp_floor(dtype)
-        self._bounds = (
-            plan._bounds() if plan.policy == "contiguous" else None
-        )
-
-    @property
-    def store_stats(self) -> StoreStats | None:
-        return self._pipeline.stats if self._pipeline is not None else None
-
-    def _segments(self, t0: int, n: int):
-        """``(shard, column selector)`` for every shard with rows in
-        the tile ``[t0, t0 + n)`` — a contiguous sub-slice per shard
-        under range sharding, a ``step=K`` stride under round-robin.
-        Selectors index both the tile's score columns and its rows."""
-        if self._bounds is not None:
-            bounds = self._bounds
-            for k in range(self.plan.num_shards):
-                lo = max(int(bounds[k]), t0)
-                hi = min(int(bounds[k + 1]), t0 + n)
-                if lo < hi:
-                    yield k, slice(lo - t0, hi - t0)
-        else:
-            num_shards = self.plan.num_shards
-            for k in range(num_shards):
-                offset = (k - t0) % num_shards
-                if offset < n:
-                    yield k, slice(offset, n, num_shards)
-
-    def shard_partials(
-        self,
-        u: np.ndarray,
-        zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
-    ) -> list[tuple[PartialOutput, OpStats]]:
-        """Per-shard ``(partial, stats)`` pairs in shard order — the
-        same contract as the per-shard backends, produced by the tiled
-        sweep."""
-        u = np.asarray(u, dtype=self.dtype)
-        if u.ndim == 1:
-            u = u[None, :]
-        if u.ndim != 2 or u.shape[1] != self._store.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self._store.embedding_dim}), "
-                f"got {u.shape}"
-            )
-        nq, ed = u.shape
-        ns = self.plan.num_rows
-        num_shards = self.plan.num_shards
-        dtype = self.dtype
-        skipping = zero_skip is not None and zero_skip.enabled
-        tile = min(self.tile_rows, ns) if ns else 1
-
-        # Per-shard accumulator state, exactly one ColumnMemNN partial
-        # per shard (rows are views into these stacked arrays).
-        log_max = (
-            np.full((num_shards, nq), -np.inf, dtype=dtype)
-            if stable
-            else np.zeros((num_shards, nq), dtype=dtype)
-        )
-        denom = np.zeros((num_shards, nq), dtype=dtype)
-        acc = np.zeros((num_shards, nq, ed), dtype=dtype)
-        rows_kept = [0] * num_shards
-
-        # Tile-wide workspaces (allocated once per sweep).
-        scores_ws = np.empty((nq, tile), dtype=dtype)
-        contrib = np.empty((nq, ed), dtype=dtype)
-        seg_max = np.empty(nq, dtype=dtype)
-        new_max = np.empty(nq, dtype=dtype)
-        exp_ws = np.empty((nq, tile), dtype=dtype) if skipping else None
-
-        if self._pipeline is not None:
-            tile_source = self._pipeline.chunks()
-        else:
-            store = self._store
-            tile_source = (
-                store.read_chunk(start, start + tile)
-                for start in range(0, ns, tile)
-            )
-        t0 = 0
-        for tile_in, tile_out in tile_source:
-            n = tile_in.shape[0]
-            scores = scores_ws[:, :n]
-            # THE fused call: one score GEMM covering every shard's
-            # rows in this tile.
-            np.matmul(u, tile_in.T, out=scores)
-            for k, sel in self._segments(t0, n):
-                seg = scores[:, sel]
-                k_log_max, k_denom, k_acc = log_max[k], denom[k], acc[k]
-                if stable:
-                    seg.max(axis=1, out=seg_max)
-                    np.maximum(k_log_max, seg_max, out=new_max)
-                    if not np.array_equal(new_max, k_log_max):
-                        with np.errstate(invalid="ignore"):
-                            scale = np.where(
-                                np.isneginf(k_log_max),
-                                0.0,
-                                np.exp(k_log_max - new_max),
-                            )
-                        k_denom *= scale
-                        k_acc *= scale[:, None]
-                        k_log_max[:] = new_max
-                    exp_seg = exp_ws[:, sel] if skipping else seg
-                    np.subtract(seg, k_log_max[:, None], out=exp_seg)
-                else:
-                    exp_seg = exp_ws[:, sel] if skipping else seg
-                    if exp_seg is not seg:
-                        np.copyto(exp_seg, seg)
-                np.maximum(exp_seg, self._exp_floor, out=exp_seg)
-                np.exp(exp_seg, out=exp_seg)
-                k_denom += exp_seg.sum(axis=1)
-                keep = keep_mask(seg, k_denom, k_log_max, stable, zero_skip)
-                if keep is None:
-                    rows_kept[k] += nq * seg.shape[1]
-                else:
-                    rows_kept[k] += int(np.count_nonzero(keep))
-                    np.multiply(exp_seg, keep, out=exp_seg)
-                np.matmul(exp_seg, tile_out[sel], out=contrib)
-                k_acc += contrib
-            t0 += n
-
-        return [
-            (
-                PartialOutput(
-                    weighted=acc[k], denom=denom[k], log_max=log_max[k]
-                ),
-                column_op_stats(
-                    nq,
-                    self.plan.shard_rows(k),
-                    ed,
-                    rows_kept[k],
-                    self.chunk_size,
-                    dtype,
-                ),
-            )
-            for k in range(num_shards)
-        ]
-
-
 class ShardedMemNN:
     """Column-based inference over K simulated memory shards.
 
@@ -357,18 +135,13 @@ class ShardedMemNN:
         policy: row-partition policy (see :class:`ShardPlan`).
         chunk: per-shard chunking configuration.
         dtype: compute precision, applied to every shard.
-        execution: execution backend.  ``"serial"``/``"thread"`` run
-            the per-shard chunk loop on the calling thread or a thread
-            pool (the latter measured *slower* — see
-            :mod:`repro.core.execution`); ``"process"`` fans shards
-            out to worker processes that ``mmap`` a spilled
+        execution: execution backend.  ``"serial"`` runs the
+            per-shard chunk loop on the calling thread; ``"process"``
+            fans shards out to worker processes that ``mmap`` a spilled
             :class:`~repro.store.MmapStore` (passed as ``store=``, or
             spilled here from resident arrays into a solver-owned temp
-            directory); ``fused=True`` (serial only) runs the
-            batchxshard tile kernel.  All backends produce per-shard
-            partials that merge in shard order; process is
-            bit-identical to serial, fused agrees to ~1e-10 (tile
-            boundaries reorder the running-max rescales).
+            directory).  Both produce per-shard partials that merge in
+            shard order, and process is bit-identical to serial.
         store: a :class:`~repro.store.MemoryStore` to shard instead of
             resident arrays — each shard gets a lazy row-subset view
             of the tier (``store.select``), so an out-of-core memory
@@ -395,7 +168,6 @@ class ShardedMemNN:
         prefetch_depth: int = 0,
     ) -> None:
         self.chunk = chunk if chunk is not None else ChunkConfig()
-        self.execution = execution
         if store is not None:
             if m_in is not None or m_out is not None:
                 raise ValueError("pass either (m_in, m_out) or store=, not both")
@@ -427,7 +199,6 @@ class ShardedMemNN:
         )
         self._shards: list[ColumnMemNN] = []
         self._runner: ProcessShardRunner | None = None
-        self._fused: _FusedShardKernel | None = None
         self._spill_tmp: tempfile.TemporaryDirectory | None = None
         if execution is not None and execution.backend == "process":
             if store is not None and not isinstance(store, MmapStore):
@@ -460,18 +231,6 @@ class ShardedMemNN:
                 self.chunk.chunk_size,
                 execution.num_workers,
                 execution.worker_blas_threads(),
-            )
-        elif execution is not None and execution.fused:
-            self._fused = _FusedShardKernel(
-                self.plan,
-                self.chunk,
-                dtype,
-                m_in=m_in,
-                m_out=m_out,
-                store=store,
-                resident_bytes=resident_bytes,
-                prefetch_depth=prefetch_depth,
-                tile_rows=execution.fused_tile_rows,
             )
         elif store is not None:
             self._shards = [
@@ -514,8 +273,6 @@ class ShardedMemNN:
         or ``None`` when no shard runs a pipeline.  The process
         backend's ledgers live inside the worker processes (each maps
         its own shard) and are not reported here."""
-        if self._fused is not None:
-            return self._fused.store_stats
         per_shard = [
             shard.store_stats
             for shard in self._shards
@@ -557,22 +314,16 @@ class ShardedMemNN:
         This is the unit of work a real deployment fans out; empty
         shards contribute the merge identity and zero counters.  The
         process backend computes them in worker processes against the
-        spilled store, the fused kernel computes all of them in one
-        tiled sweep, and the serial/thread backends loop (or pool)
-        over per-shard kernels; results arrive in shard order in every
-        case, so downstream merges are order-deterministic.
+        spilled store and the serial backend loops over the per-shard
+        kernels; results arrive in shard order either way, so
+        downstream merges are order-deterministic.
         """
         if self._runner is not None:
             return self._runner.run(u, zero_skip=zero_skip, stable=stable)
-        if self._fused is not None:
-            return self._fused.shard_partials(u, zero_skip=zero_skip, stable=stable)
-        return run_shard_partials(
-            self._shards,
-            u,
-            zero_skip=zero_skip,
-            stable=stable,
-            execution=self.execution,
-        )
+        return [
+            shard.partial_output(u, zero_skip=zero_skip, stable=stable)
+            for shard in self._shards
+        ]
 
     def partial_output(
         self,
@@ -615,9 +366,7 @@ class ShardedMemNN:
         stable: bool,
     ) -> tuple[PartialOutput, OpStats, list[OpStats]]:
         pairs = self.shard_partials(u, zero_skip=zero_skip, stable=stable)
-        merged = pairs[0][0]
-        for partial, _ in pairs[1:]:
-            merged = merged.merge(partial)
+        merged = merge_partials([partial for partial, _ in pairs])
         shard_stats = [stats for _, stats in pairs]
         total = OpStats()
         for stats in shard_stats:

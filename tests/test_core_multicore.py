@@ -1,22 +1,11 @@
-"""The multicore execution tier: process-parallel shards and the fused
-batchxshard tile kernel.
+"""The multicore execution tier: process-parallel shards.
 
-Two contracts, held at different strengths:
-
-* **Process backend == serial, bitwise.**  Every worker runs the exact
-  per-shard ``ColumnMemNN`` kernel on the exact shard bytes (the
-  spilled store holds the dtype-converted memories; a GEMM over a
-  memmap view equals one over a contiguous copy bit for bit), and
-  results are collected in shard order — so at *every* worker count
-  the merged output is ``array_equal`` to serial, not merely close.
-* **Fused kernel == per-shard loop, 1e-10.**  The tile sweep regroups
-  the chunk geometry (tile boundaries are not shard-chunk
-  boundaries), which reorders the running-max rescales — the same
-  1e-10 class of difference as any chunk-size change.  Exp-mode
-  zero-skip masks depend only on raw scores and match exactly;
-  probability-mode masks read the running denominator and are
-  geometry-dependent by construction (excluded from the grid, as they
-  are for any cross-geometry comparison).
+The contract: **process backend == serial, bitwise.**  Every worker
+runs the exact per-shard ``ColumnMemNN`` kernel on the exact shard
+bytes (the spilled store holds the dtype-converted memories; a GEMM
+over a memmap view equals one over a contiguous copy bit for bit), and
+results are collected in shard order — so at *every* worker count the
+merged output is ``array_equal`` to serial, not merely close.
 
 Plus the failure mode: a worker process dying mid-computation must
 surface as a clean ``RuntimeError`` — never a hang — and the next
@@ -36,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChunkConfig,
-    ColumnMemNN,
     EngineConfig,
     EngineWeights,
     ExecutionConfig,
@@ -46,7 +34,6 @@ from repro.core import (
     ZeroSkipConfig,
 )
 from repro.core.thread_limits import apply_blas_limit, blas_thread_info
-from repro.store import MmapStore
 
 sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "benchmarks")
@@ -279,170 +266,6 @@ class TestProcessWorkerCrash:
             )
 
 
-# --- fused tile kernel --------------------------------------------------------
-
-
-class TestFusedKernel:
-    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
-    @pytest.mark.parametrize("num_shards", (1, 3, 4))
-    @pytest.mark.parametrize(
-        "zero_skip", (None, ZeroSkipConfig(1e-4, mode="exp"))
-    )
-    @pytest.mark.parametrize("stable", (True, False))
-    def test_fused_matches_per_shard(self, policy, num_shards, zero_skip, stable):
-        m_in, m_out, u = _random_memories()
-        serial = ShardedMemNN(
-            m_in, m_out, num_shards=num_shards, policy=policy, chunk=ChunkConfig(32)
-        )
-        fused = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=num_shards,
-            policy=policy,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        ref = serial.output(u, zero_skip=zero_skip, stable=stable)
-        got = fused.output(u, zero_skip=zero_skip, stable=stable)
-        np.testing.assert_allclose(
-            got.output, ref.output, rtol=LOGIT_TOLERANCE, atol=LOGIT_TOLERANCE
-        )
-        # The op ledger is arrangement-independent (exp-mode masks
-        # match exactly, so even rows_computed agrees).
-        assert got.stats.flops == ref.stats.flops
-        assert got.stats.rows_computed == ref.stats.rows_computed
-
-    def test_fused_over_mmap_store_matches_resident_fused(self, tmp_path):
-        m_in, m_out, u = _random_memories()
-        store = MmapStore.save(tmp_path / "store", m_in, m_out)
-        resident = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        streamed = ShardedMemNN(
-            store=store,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        np.testing.assert_array_equal(
-            streamed.output(u).output, resident.output(u).output
-        )
-        assert streamed.store_stats is not None
-        assert streamed.store_stats.disk_bytes > 0
-
-    @pytest.mark.parametrize("dtype", ("float64", "float32"))
-    def test_fused_engine_matches_serial_engine(self, dtype):
-        serial = _answer(
-            EngineConfig.sharded(4, chunk_size=16).with_execution(dtype=dtype)
-        )
-        fused = _answer(
-            EngineConfig.fused(4, chunk_size=16, dtype=dtype)
-        )
-        tolerance = 1e-4 if dtype == "float32" else LOGIT_TOLERANCE
-        np.testing.assert_allclose(
-            fused.logits, serial.logits, rtol=tolerance, atol=tolerance
-        )
-        np.testing.assert_array_equal(fused.answer_ids, serial.answer_ids)
-
-    def test_fused_with_topk_tier_matches_serial_topk(self):
-        base = EngineConfig.sharded(3, chunk_size=16).with_topk(
-            nprobe=2, min_rows=16
-        )
-        serial = _answer(base)
-        fused = _answer(base.with_execution(fused=True))
-        np.testing.assert_allclose(
-            fused.logits, serial.logits, rtol=LOGIT_TOLERANCE, atol=LOGIT_TOLERANCE
-        )
-
-    def test_fused_empty_shards_contribute_identity(self):
-        """K > ns leaves trailing shards empty; their partials are the
-        merge identity and the output is unchanged."""
-        m_in, m_out, u = _random_memories(ns=5)
-        serial = ShardedMemNN(m_in, m_out, num_shards=8, chunk=ChunkConfig(4))
-        fused = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=8,
-            chunk=ChunkConfig(4),
-            execution=ExecutionConfig(fused=True),
-        )
-        np.testing.assert_allclose(
-            fused.output(u).output,
-            serial.output(u).output,
-            rtol=LOGIT_TOLERANCE,
-            atol=LOGIT_TOLERANCE,
-        )
-
-
-class TestFusedTileRows:
-    def test_default_tile_equals_explicit_chunk_geometry_bitwise(self):
-        """``fused_tile_rows=None`` keeps the historical
-        ``chunk_size x num_shards`` geometry — an explicit value equal
-        to it must produce the identical tile sweep, bit for bit."""
-        m_in, m_out, u = _random_memories()
-        default = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        explicit = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True, fused_tile_rows=32 * 3),
-        )
-        np.testing.assert_array_equal(
-            explicit.output(u).output, default.output(u).output
-        )
-
-    @pytest.mark.parametrize("tile_rows", (1, 7, 64, 10_000))
-    def test_tile_size_only_moves_rescale_boundaries(self, tile_rows):
-        """Any tile size agrees with any other to the documented 1e-10
-        (same class of difference as a chunk-size change), including a
-        degenerate 1-row tile and one larger than the whole memory."""
-        m_in, m_out, u = _random_memories()
-        reference = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        tiled = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True, fused_tile_rows=tile_rows),
-        )
-        got = tiled.output(u)
-        np.testing.assert_allclose(
-            got.output,
-            reference.output(u).output,
-            rtol=LOGIT_TOLERANCE,
-            atol=LOGIT_TOLERANCE,
-        )
-        assert got.stats.flops == reference.output(u).stats.flops
-
-    def test_tile_rows_engine_answer_matches_default(self):
-        default = _answer(EngineConfig.fused(4, chunk_size=16))
-        tiled = _answer(EngineConfig.fused(4, chunk_size=16, tile_rows=48))
-        np.testing.assert_allclose(
-            tiled.logits,
-            default.logits,
-            rtol=LOGIT_TOLERANCE,
-            atol=LOGIT_TOLERANCE,
-        )
-        np.testing.assert_array_equal(tiled.answer_ids, default.answer_ids)
-
-
 # --- fold-order invariance (property) ----------------------------------------
 
 
@@ -451,19 +274,18 @@ class TestFoldOrderInvariance:
         seed=st.integers(0, 2**16),
         num_shards=st.integers(1, 6),
         policy=st.sampled_from(("contiguous", "strided")),
-        backend=st.sampled_from(("serial", "thread", "fused")),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_fold_order_invariant_under_backend(
-        self, seed, num_shards, policy, backend, data
+        self, seed, num_shards, policy, data
     ):
         """Folding the per-shard partials in any order agrees with the
-        shard-order fold to 1e-10, whichever backend produced them —
-        the associativity/commutativity the scale-out story rests on.
-        (The process backend produces bitwise-identical partials to
-        serial — asserted by the differential tests — so it inherits
-        this property without paying a pool per hypothesis example.)
+        shard-order fold to 1e-10 — the associativity/commutativity the
+        scale-out story rests on.  (The process backend produces
+        bitwise-identical partials to serial — asserted by the
+        differential tests — so it inherits this property without
+        paying a pool per hypothesis example.)
         """
         rng = np.random.default_rng(seed)
         ns = int(rng.integers(1, 40))
@@ -472,19 +294,12 @@ class TestFoldOrderInvariance:
         m_in = rng.uniform(-5, 5, size=(ns, ed))
         m_out = rng.uniform(-5, 5, size=(ns, ed))
         u = rng.uniform(-5, 5, size=(nq, ed))
-        if backend == "fused":
-            execution = ExecutionConfig(fused=True)
-        elif backend == "thread":
-            execution = ExecutionConfig(backend="thread", num_workers=2)
-        else:
-            execution = ExecutionConfig()
         solver = ShardedMemNN(
             m_in,
             m_out,
             num_shards=num_shards,
             policy=policy,
             chunk=ChunkConfig(8),
-            execution=execution,
         )
         pairs = solver.shard_partials(u)
         assert len(pairs) == num_shards
@@ -507,19 +322,6 @@ class TestFoldOrderInvariance:
 
 
 class TestMulticoreConfig:
-    def test_fused_requires_serial_backend(self):
-        with pytest.raises(ValueError, match="fused"):
-            ExecutionConfig(backend="thread", num_workers=2, fused=True)
-        with pytest.raises(ValueError, match="fused"):
-            ExecutionConfig(backend="process", num_workers=2, fused=True)
-
-    def test_fused_requires_sharded_algorithm(self):
-        config = EngineConfig(
-            algorithm="column", execution=ExecutionConfig(fused=True)
-        )
-        with pytest.raises(ValueError, match="sharded"):
-            config.validate()
-
     def test_blas_threads_must_be_positive(self):
         with pytest.raises(ValueError, match="blas_threads"):
             ExecutionConfig(blas_threads=0)
@@ -540,43 +342,10 @@ class TestMulticoreConfig:
 
     def test_shard_concurrency_reflects_measured_backends(self):
         assert ExecutionConfig().shard_concurrency() == 1
-        # Thread backend measured 0.79-0.99x vs serial: concurrency 1.
-        assert (
-            ExecutionConfig(backend="thread", num_workers=4).shard_concurrency()
-            == 1
-        )
         assert (
             ExecutionConfig(backend="process", num_workers=4).shard_concurrency()
             == 4
         )
-
-    def test_multicore_preset_composition(self):
-        config = EngineConfig.multicore(4)
-        assert config.algorithm == "sharded"
-        assert config.execution.backend == "process"
-        assert config.execution.num_workers == 4
-        assert config.execution.dtype == "float32"
-
-    def test_fused_preset_composition(self):
-        config = EngineConfig.fused(4)
-        assert config.algorithm == "sharded"
-        assert config.num_shards == 4
-        assert config.execution.fused
-        assert config.execution.backend == "serial"
-        assert config.execution.fused_tile_rows is None
-
-    def test_fused_preset_tile_rows_plumbs_through(self):
-        config = EngineConfig.fused(4, tile_rows=512)
-        assert config.execution.fused_tile_rows == 512
-
-    def test_tile_rows_requires_fused(self):
-        with pytest.raises(ValueError, match="fused_tile_rows"):
-            ExecutionConfig(fused_tile_rows=256)
-
-    def test_tile_rows_must_be_positive(self):
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ValueError, match="fused_tile_rows"):
-                ExecutionConfig(fused=True, fused_tile_rows=bad)
 
 
 # --- BLAS thread-limit shim ---------------------------------------------------
@@ -602,8 +371,7 @@ def _core_payload(cpu_count, gate):
     series = {
         name: 0.01
         for name in (
-            "seed_column", "column_serial", "sharded_serial", "fused_serial",
-            "fused_f32",
+            "seed_column", "column_serial", "sharded_serial",
             "sharded_process_1", "sharded_process_2", "sharded_process_4",
         )
     }
@@ -643,7 +411,6 @@ class TestCoreArtifactSchema:
         payload = _core_payload(8, {
             "required_cpus": 4,
             "process_vs_serial": {"1": 1.0, "2": 1.4, "4": 0.7},
-            "fused_vs_serial": 1.1,
             "baseline_headline": 1.38,
             "headline_speedup": 2.5,
         })
@@ -655,7 +422,6 @@ class TestCoreArtifactSchema:
         payload = _core_payload(8, {
             "required_cpus": 4,
             "process_vs_serial": {"1": 1.0, "2": 1.4, "4": 2.1},
-            "fused_vs_serial": 1.1,
             "baseline_headline": 1.38,
             "headline_speedup": 1.2,
         })
@@ -667,7 +433,6 @@ class TestCoreArtifactSchema:
         payload = _core_payload(8, {
             "required_cpus": 4,
             "process_vs_serial": {"1": 1.0, "2": 1.4, "4": 2.1},
-            "fused_vs_serial": 1.1,
             "baseline_headline": 1.38,
             "headline_speedup": 2.5,
         })

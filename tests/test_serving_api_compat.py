@@ -1,11 +1,9 @@
-"""Compatibility tests for the unified engine/serving API (v2).
+"""Tests for the unified engine/serving API (v2).
 
-Covers the deprecated surfaces — ``ServerConfig(algorithm=...)`` and
-the ``use_embedding_cache``/``embedding_cache_bytes`` flags — asserting
-both the ``DeprecationWarning`` and behavioral equivalence with the
-new-style API, plus the unified ``VectorCache`` protocol and the engine
-fixes that ride with it.  ``EmbeddingCache.touch()`` completed its
-deprecation cycle and is asserted *gone*.
+Covers the ``ServerConfig`` surface, the unified ``VectorCache``
+protocol and the engine fixes that ride with it.
+``EmbeddingCache.touch()`` completed its deprecation cycle and is
+asserted *gone*.
 """
 
 import warnings
@@ -22,9 +20,8 @@ from repro.core import (
     TraceVectorCache,
     VectorCache,
 )
-from repro.core.config import ChunkConfig
 from repro.memsim.embedding_cache import EmbeddingCache
-from repro.serving import QaServer, ServerConfig, Workload, generate_workload
+from repro.serving import QaServer, ServerConfig, generate_workload
 
 
 def _small_network() -> MemNNConfig:
@@ -35,77 +32,21 @@ def _small_network() -> MemNNConfig:
 
 
 class TestServerConfigCompat:
-    @pytest.mark.parametrize(
-        "algorithm", ["baseline", "column", "column_streaming", "mnnfast"]
-    )
-    def test_legacy_algorithm_warns_and_maps(self, algorithm):
-        with pytest.warns(DeprecationWarning, match="algorithm"):
-            config = ServerConfig(algorithm=algorithm)
-        assert config.algorithm == algorithm
-        assert isinstance(config.engine, EngineConfig)
-
-    def test_legacy_cache_flags_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="use_embedding_cache"):
-            config = ServerConfig(use_embedding_cache=True, embedding_cache_bytes=32768)
-        assert config.use_embedding_cache is True
-        assert config.embedding_cache is not None
-        assert config.embedding_cache.size_bytes == 32768
-
-        with pytest.warns(DeprecationWarning):
-            config = ServerConfig(use_embedding_cache=False)
-        assert config.use_embedding_cache is False
-        assert config.embedding_cache is None
-
-    def test_mixing_old_and_new_raises(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(engine=EngineConfig.mnnfast(), algorithm="mnnfast")
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(
-                    embedding_cache=EmbeddingCacheConfig(
-                        size_bytes=64 * 1024, embedding_dim=48
-                    ),
-                    use_embedding_cache=True,
-                )
-
-    def test_unknown_legacy_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(algorithm="warp-drive")
-
     def test_new_style_does_not_warn(self):
+        workload = generate_workload(
+            question_rate=5_000.0, story_rate=500.0, duration=0.02, seed=3
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            ServerConfig(
+            config = ServerConfig(
                 engine=EngineConfig.mnnfast(),
                 embedding_cache=EmbeddingCacheConfig(
                     size_bytes=64 * 1024, embedding_dim=48
                 ),
             )
-
-    def test_legacy_and_new_configs_serve_identically(self):
-        workload = generate_workload(
-            question_rate=5_000.0, story_rate=500.0, duration=0.02, seed=3
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = ServerConfig(
-                algorithm="mnnfast",
-                use_embedding_cache=True,
-                embedding_cache_bytes=64 * 1024,
-            )
-        modern = ServerConfig(
-            engine=EngineConfig.mnnfast(),
-            embedding_cache=EmbeddingCacheConfig(
-                size_bytes=64 * 1024, embedding_dim=48
-            ),
-        )
-        legacy_metrics = QaServer(legacy, seed=0).run(workload)
-        modern_metrics = QaServer(modern, seed=0).run(workload)
-        assert legacy_metrics.summary() == modern_metrics.summary()
+            metrics = QaServer(config, seed=0).run(workload)
+        assert config.algorithm == "mnnfast"
+        assert metrics.completed == metrics.arrivals > 0
 
 
 class TestCacheProtocolUnification:
@@ -199,12 +140,8 @@ class TestEngineUnification:
 
     def test_answer_reports_per_hop_stats(self):
         engine = self._engine(EngineConfig.mnnfast())
-        hooked = []
-        result = engine.answer(
-            self._questions(), hop_hook=lambda hop, s: hooked.append(hop)
-        )
-        assert hooked == [0, 1]  # hops=2, in order
-        assert len(result.hop_stats) == 2
+        result = engine.answer(self._questions())
+        assert len(result.hop_stats) == 2  # hops=2, in order
         per_hop_flops = sum(s.flops for s in result.hop_stats)
         assert 0 < per_hop_flops < result.stats.flops  # answer layer adds more
 
@@ -217,10 +154,3 @@ class TestEngineUnification:
             warnings.simplefilter("error", DeprecationWarning)
             metrics = QaServer(ServerConfig()).run(workload)
         assert metrics.completed == metrics.arrivals > 0
-
-
-def test_chunk_config_reexport_used_by_legacy_mapping():
-    with pytest.warns(DeprecationWarning):
-        config = ServerConfig(algorithm="column")
-    assert config.engine.chunk == ChunkConfig(streaming=False)
-    assert isinstance(Workload(), Workload)
